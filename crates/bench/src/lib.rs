@@ -8,9 +8,9 @@
 //!   together with the values the paper reports, so the reproduction gap is
 //!   visible at a glance. Run them with, e.g.
 //!   `cargo run --release -p rasa-bench --bin fig5_runtime`.
-//! * **Criterion benches** (`benches/*.rs`) — wall-clock benchmarks of the
-//!   simulator itself (how long it takes to regenerate each experiment and
-//!   how fast the matrix-engine scheduler is), run via `cargo bench`.
+//! * **Criterion benches** (`benches/*.rs`) — wall-clock microbenchmarks
+//!   of the matrix-engine scheduler and the area/energy model, run via
+//!   `cargo bench`.
 //!
 //! The shared helpers here parse the tiny command-line interface of the
 //! binaries and hold the paper's reference numbers.

@@ -1,11 +1,10 @@
 //! Hand-rolled JSON serialization for simulation results.
 //!
-//! The vendored `serde` is a marker-trait stub (no registry access in the
-//! build environment), so persistent result files are produced by this
-//! module instead: a small JSON document model ([`JsonValue`]), a writer
-//! and a recursive-descent parser, plus [`ToJson`]/[`FromJson`]
-//! implementations for the result types the serving layer and the CI
-//! regression harness persist ([`SimReport`], [`SimSummary`],
+//! The workspace has no serialization dependency, so persistent result
+//! files are produced by this module: a small JSON document model
+//! ([`JsonValue`]), a writer and a recursive-descent parser, plus
+//! [`ToJson`]/[`FromJson`] implementations for the result types the
+//! serving layer and the CI regression harness persist ([`SimReport`], [`SimSummary`],
 //! [`CacheStats`] and their nested breakdowns).
 //!
 //! ## Byte-identical round trips

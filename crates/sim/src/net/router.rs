@@ -33,8 +33,8 @@
 use crate::cache::LruCache;
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 use crate::key::CellKey;
+use crate::net::event_loop::EventLoop;
 use crate::net::hash::HashRing;
-use crate::net::listener::FrameListener;
 use crate::net::wire::{
     ErrorCode, Frame, FrameKind, HealthStatus, WireFailure, WireRequest, WireResponse,
 };
@@ -386,7 +386,7 @@ struct RouterCore {
 /// A consistent-hashing request router over N shard backends.
 pub struct Router {
     core: Arc<RouterCore>,
-    listener: Option<FrameListener>,
+    listener: Option<EventLoop>,
 }
 
 impl std::fmt::Debug for Router {
@@ -465,7 +465,7 @@ impl Router {
     ) -> Result<Router, SimError> {
         let mut router = Router::new(shard_addrs, config)?;
         let core = Arc::clone(&router.core);
-        let listener = FrameListener::bind(
+        let listener = EventLoop::bind(
             addr,
             "rasa-router",
             Arc::new(move |frame| answer(frame, &core)),
@@ -478,7 +478,7 @@ impl Router {
     /// The frame server's bound address. `None` for an in-process router.
     #[must_use]
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.listener.as_ref().map(FrameListener::local_addr)
+        self.listener.as_ref().map(EventLoop::local_addr)
     }
 
     /// Routes one request to its shard (with failover) and returns the
@@ -906,7 +906,7 @@ mod tests {
         // A rogue shard that echoes every frame back verbatim: answering
         // a request with a Request frame is a protocol violation, and the
         // stream that produced it is desynced by definition.
-        let rogue = FrameListener::bind(
+        let rogue = EventLoop::bind(
             "127.0.0.1:0",
             "rogue",
             Arc::new(|frame: &Frame| frame.clone()),

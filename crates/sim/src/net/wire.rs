@@ -135,17 +135,27 @@ impl Frame {
     /// byte, payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let body_len = 2 + self.payload.len();
-        let mut out = Vec::with_capacity(4 + body_len);
-        out.extend_from_slice(
-            &u32::try_from(body_len)
-                .expect("frame fits in u32")
-                .to_be_bytes(),
-        );
-        out.push(WIRE_VERSION);
-        out.push(self.kind.as_byte());
+        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        out.extend_from_slice(&self.header());
         out.extend_from_slice(&self.payload);
         out
+    }
+
+    /// The 6 framing bytes: the 4-byte big-endian body length (which
+    /// counts the version and kind bytes plus the payload), the version
+    /// byte and the kind byte. The only place a header is built.
+    fn header(&self) -> [u8; HEADER_LEN] {
+        let len = u32::try_from(2 + self.payload.len())
+            .expect("frame fits in u32")
+            .to_be_bytes();
+        [
+            len[0],
+            len[1],
+            len[2],
+            len[3],
+            WIRE_VERSION,
+            self.kind.as_byte(),
+        ]
     }
 
     /// Decodes one frame from the start of `bytes`, returning the frame
@@ -159,24 +169,19 @@ impl Frame {
     /// [`NetError::BadVersion`] for any version byte other than
     /// [`WIRE_VERSION`].
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), NetError> {
-        if bytes.len() < 4 {
-            return Err(NetError::Frame {
-                reason: format!("truncated length prefix: {} of 4 bytes", bytes.len()),
-            });
-        }
-        let body_len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        Frame::check_body_len(body_len)?;
-        let total = 4 + body_len;
+        let header: &[u8; HEADER_LEN] = bytes
+            .get(..HEADER_LEN)
+            .and_then(|head| head.try_into().ok())
+            .ok_or_else(|| NetError::Frame {
+                reason: format!("truncated header: {} of {HEADER_LEN} bytes", bytes.len()),
+            })?;
+        let (kind, payload_len) = parse_header(header)?;
+        let total = HEADER_LEN + payload_len;
         if bytes.len() < total {
             return Err(NetError::Frame {
                 reason: format!("truncated frame: {} of {} bytes", bytes.len(), total),
             });
         }
-        let (version, kind) = (bytes[4], bytes[5]);
-        Frame::check_version(version)?;
-        let kind = FrameKind::from_byte(kind).ok_or_else(|| NetError::Frame {
-            reason: format!("unknown frame kind byte 0x{kind:02x}"),
-        })?;
         Ok((
             Frame {
                 kind,
@@ -199,8 +204,7 @@ impl Frame {
     /// [`read_from`](Self::read_from) decoding into a recycled payload
     /// buffer sized by the length prefix (contents discarded, capacity
     /// reused). On success the buffer moves into the returned frame (take
-    /// it back with [`into_payload`](Self::into_payload)); on error —
-    /// including the idle-poll timeouts connection loops ride on — the
+    /// it back with [`into_payload`](Self::into_payload)); on error the
     /// buffer stays with the caller, so pooling survives errors. The
     /// [`MAX_FRAME_LEN`] guard still runs *before* the buffer grows.
     ///
@@ -216,14 +220,9 @@ impl Frame {
         let mut header = [0u8; HEADER_LEN];
         reader.read_exact(&mut header).map_err(NetError::from)?;
         let decode = prof::time(Stage::FrameDecode);
-        let body_len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        Frame::check_body_len(body_len)?;
-        Frame::check_version(header[4])?;
-        let kind = FrameKind::from_byte(header[5]).ok_or_else(|| NetError::Frame {
-            reason: format!("unknown frame kind byte 0x{:02x}", header[5]),
-        })?;
+        let (kind, payload_len) = parse_header(&header)?;
         recycled.clear();
-        recycled.resize(body_len - 2, 0);
+        recycled.resize(payload_len, 0);
         reader.read_exact(recycled).map_err(NetError::from)?;
         drop(decode);
         Ok(Frame {
@@ -234,29 +233,18 @@ impl Frame {
 
     /// Writes the frame to a stream and flushes it. The 6 framing bytes
     /// and the payload go out in a single vectored write — no
-    /// concatenated copy of the frame is ever built.
+    /// concatenated copy of the frame is ever built. Only the header build
+    /// is timed as `frame_encode`; the socket write is not encoding.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] on any transport failure.
     pub fn write_to(&self, writer: &mut impl Write) -> Result<(), NetError> {
         let encode = prof::time(Stage::FrameEncode);
-        let body_len = 2 + self.payload.len();
-        let len = u32::try_from(body_len)
-            .expect("frame fits in u32")
-            .to_be_bytes();
-        let header = [
-            len[0],
-            len[1],
-            len[2],
-            len[3],
-            WIRE_VERSION,
-            self.kind.as_byte(),
-        ];
-        write_all_vectored(writer, &header, &self.payload).map_err(NetError::from)?;
-        writer.flush().map_err(NetError::from)?;
+        let header = self.header();
         drop(encode);
-        Ok(())
+        write_all_vectored(writer, &header, &self.payload).map_err(NetError::from)?;
+        writer.flush().map_err(NetError::from)
     }
 
     /// Parses the payload as a JSON document.
@@ -280,40 +268,36 @@ impl Frame {
     /// writability, so a slow reader never blocks the loop.
     pub fn append_to(&self, out: &mut Vec<u8>) {
         let encode = prof::time(Stage::FrameEncode);
-        let body_len = 2 + self.payload.len();
-        out.extend_from_slice(
-            &u32::try_from(body_len)
-                .expect("frame fits in u32")
-                .to_be_bytes(),
-        );
-        out.push(WIRE_VERSION);
-        out.push(self.kind.as_byte());
+        out.extend_from_slice(&self.header());
         out.extend_from_slice(&self.payload);
         drop(encode);
     }
+}
 
-    fn check_body_len(body_len: usize) -> Result<(), NetError> {
-        if body_len < 2 {
-            return Err(NetError::Frame {
-                reason: format!("declared body length {body_len} is below the 2-byte header"),
-            });
-        }
-        if body_len - 2 > MAX_FRAME_LEN {
-            return Err(NetError::FrameTooLarge {
-                len: body_len - 2,
-                max: MAX_FRAME_LEN,
-            });
-        }
-        Ok(())
+/// Validates the 6 framing bytes — the length guard first (so an oversized
+/// declaration is rejected before any allocation), then the version, then
+/// the kind — and returns the kind and the payload length. The only place
+/// a header is checked.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, usize), NetError> {
+    let body_len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let Some(payload_len) = body_len.checked_sub(2) else {
+        return Err(NetError::Frame {
+            reason: format!("declared body length {body_len} is below the 2-byte header"),
+        });
+    };
+    if payload_len > MAX_FRAME_LEN {
+        return Err(NetError::FrameTooLarge {
+            len: payload_len,
+            max: MAX_FRAME_LEN,
+        });
     }
-
-    fn check_version(version: u8) -> Result<(), NetError> {
-        if version == WIRE_VERSION {
-            Ok(())
-        } else {
-            Err(NetError::BadVersion { got: version })
-        }
+    if header[4] != WIRE_VERSION {
+        return Err(NetError::BadVersion { got: header[4] });
     }
+    let kind = FrameKind::from_byte(header[5]).ok_or_else(|| NetError::Frame {
+        reason: format!("unknown frame kind byte 0x{:02x}", header[5]),
+    })?;
+    Ok((kind, payload_len))
 }
 
 /// Writes `header` then `payload` completely, preferring a single
@@ -351,13 +335,10 @@ fn write_all_vectored(
 /// [`Frame::read_from_pooled`].
 ///
 /// A connection owns one decoder for its whole lifetime and feeds it
-/// whatever bytes the transport produces — a readiness event's read burst,
-/// or a blocking read that may time out mid-frame. Partial header or
-/// payload bytes **survive across calls**, which eliminates the classic
-/// blocking-reader desync by construction: a poll timeout that lands
-/// after part of a length prefix has been consumed resumes exactly where
-/// it stopped instead of silently discarding the prefix and re-parsing
-/// payload bytes as a header.
+/// whatever bytes each readiness event's read burst produces. Partial
+/// header or payload bytes **survive across calls**, so a frame split at
+/// any byte boundary — mid length prefix included — resumes exactly where
+/// it stopped instead of re-parsing payload bytes as a header.
 ///
 /// The decoder enforces the same validation as the one-shot parser — the
 /// [`MAX_FRAME_LEN`] guard runs when the 6-byte header completes, *before*
@@ -443,71 +424,15 @@ impl FrameDecoder {
         Ok((consumed, None))
     }
 
-    /// One resumable read step for blocking transports: issues a single
-    /// `read` into whichever gap (header or payload) is open. Unlike
-    /// [`Frame::read_from_pooled`], a timeout mid-frame
-    /// (`WouldBlock`/`TimedOut`) leaves all partial bytes in place, so the
-    /// caller can poll a shutdown flag and resume exactly where the stream
-    /// stopped.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] on transport failure or timeout (state is
-    /// preserved for timeouts; an `UnexpectedEof` means the peer closed —
-    /// mid-frame if [`is_mid_frame`](Self::is_mid_frame) was true), plus
-    /// the same validation errors as [`Frame::decode`].
-    pub fn read_step(&mut self, reader: &mut impl Read) -> Result<Option<Frame>, NetError> {
-        if self.kind.is_none() {
-            let n = reader
-                .read(&mut self.header[self.header_filled..])
-                .map_err(NetError::from)?;
-            if n == 0 {
-                return Err(FrameDecoder::eof());
-            }
-            self.header_filled += n;
-            if self.header_filled < HEADER_LEN {
-                return Ok(None);
-            }
-            let decode = prof::time(Stage::FrameDecode);
-            self.finish_header()?;
-            drop(decode);
-            if self.payload.is_empty() {
-                return Ok(Some(self.complete()));
-            }
-            return Ok(None);
-        }
-        let n = reader
-            .read(&mut self.payload[self.payload_filled..])
-            .map_err(NetError::from)?;
-        if n == 0 {
-            return Err(FrameDecoder::eof());
-        }
-        self.payload_filled += n;
-        if self.payload_filled == self.payload.len() {
-            return Ok(Some(self.complete()));
-        }
-        Ok(None)
-    }
-
     /// Validates the completed header and prepares the payload buffer
     /// (recycled capacity when available). Runs the [`MAX_FRAME_LEN`]
     /// guard before any allocation.
     fn finish_header(&mut self) -> Result<(), NetError> {
-        let body_len = u32::from_be_bytes([
-            self.header[0],
-            self.header[1],
-            self.header[2],
-            self.header[3],
-        ]) as usize;
-        Frame::check_body_len(body_len)?;
-        Frame::check_version(self.header[4])?;
-        let kind = FrameKind::from_byte(self.header[5]).ok_or_else(|| NetError::Frame {
-            reason: format!("unknown frame kind byte 0x{:02x}", self.header[5]),
-        })?;
+        let (kind, payload_len) = parse_header(&self.header)?;
         self.kind = Some(kind);
         let mut buf = std::mem::take(&mut self.spare);
         buf.clear();
-        buf.resize(body_len - 2, 0);
+        buf.resize(payload_len, 0);
         self.payload = buf;
         self.payload_filled = 0;
         Ok(())
@@ -521,13 +446,6 @@ impl FrameDecoder {
         Frame {
             kind,
             payload: std::mem::take(&mut self.payload),
-        }
-    }
-
-    fn eof() -> NetError {
-        NetError::Io {
-            kind: std::io::ErrorKind::UnexpectedEof,
-            reason: "peer closed the connection".to_string(),
         }
     }
 }
@@ -1123,73 +1041,6 @@ mod tests {
         bytes[5] = 0x7f;
         let err = FrameDecoder::new().feed(&bytes).unwrap_err();
         assert!(matches!(err, NetError::Frame { .. }), "{err}");
-    }
-
-    #[test]
-    fn decoder_read_step_survives_timeouts_mid_frame() {
-        use std::io::Read;
-
-        /// A reader yielding one byte per call, with a `WouldBlock`
-        /// timeout before every byte — the slow-writer-straddling-a-poll
-        /// shape that desynced the old blocking reader.
-        struct OneByteWithTimeouts {
-            bytes: Vec<u8>,
-            at: usize,
-            timeout_next: bool,
-        }
-        impl Read for OneByteWithTimeouts {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.timeout_next {
-                    self.timeout_next = false;
-                    return Err(std::io::ErrorKind::WouldBlock.into());
-                }
-                self.timeout_next = true;
-                if self.at == self.bytes.len() {
-                    return Ok(0);
-                }
-                buf[0] = self.bytes[self.at];
-                self.at += 1;
-                Ok(1)
-            }
-        }
-
-        let frame = Frame {
-            kind: FrameKind::Request,
-            payload: b"{\"id\":9}".to_vec(),
-        };
-        let mut reader = OneByteWithTimeouts {
-            bytes: frame.encode(),
-            at: 0,
-            timeout_next: true,
-        };
-        let mut decoder = FrameDecoder::new();
-        let mut timeouts = 0;
-        let decoded = loop {
-            match decoder.read_step(&mut reader) {
-                Ok(Some(frame)) => break frame,
-                Ok(None) => {}
-                Err(NetError::Io {
-                    kind: std::io::ErrorKind::WouldBlock,
-                    ..
-                }) => {
-                    timeouts += 1;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
-            }
-        };
-        assert_eq!(decoded, frame);
-        assert!(timeouts >= decoded.encode().len() as u64);
-        assert!(!decoder.is_mid_frame());
-        // EOF after the frame is a clean close.
-        reader.timeout_next = false;
-        let err = decoder.read_step(&mut reader).unwrap_err();
-        assert!(matches!(
-            err,
-            NetError::Io {
-                kind: std::io::ErrorKind::UnexpectedEof,
-                ..
-            }
-        ));
     }
 
     #[test]

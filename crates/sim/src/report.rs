@@ -1,6 +1,5 @@
 use rasa_cpu::{CpuStats, SchedStats};
 use rasa_power::PowerReport;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the trace reached the simulating core: as a stream of bounded
@@ -189,7 +188,7 @@ impl fmt::Display for SimReport {
 }
 
 /// A flat, serializable summary of a [`SimReport`] (one CSV row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimSummary {
     /// Design name.
     pub design: String,
@@ -373,10 +372,6 @@ mod tests {
             SimSummary::csv_header().split(',').count(),
             row.split(',').count()
         );
-        // The Serialize/Deserialize bounds exist for downstream exporters;
-        // assert them at compile time without pulling in a JSON dependency.
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<SimSummary>();
     }
 
     #[test]
