@@ -40,10 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runner = ExperimentRunner::builder()
         .with_matmul_cap(options.matmul_cap)
         .with_parallel(options.parallel)
-        .with_streaming(options.stream)
-        .with_segment_size(options.segment_size)
         .with_speculation(options.speculation)
-        .with_spec_depth(options.spec_depth)
         .build()?;
     let space = if options.kernel_axes {
         SearchSpace::explorer_joint()

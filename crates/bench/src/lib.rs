@@ -92,18 +92,11 @@ pub struct BinOptions {
     /// For `run_all`: skip the timing comparison (repeat sweeps that do
     /// not need the full-fidelity reference re-run).
     pub no_timing: bool,
-    /// Run cells through the streaming trace→simulate pipeline (default) or
-    /// the materialized path (`--no-stream`, the A/B escape hatch).
-    pub stream: bool,
-    /// Target streamed-segment size in instructions (`--segment-size`).
-    pub segment_size: usize,
     /// Run streamed cells through the speculative fork/join segment
     /// scheduler (`--speculation on`, the default) or sequentially
     /// (`--speculation off`). Simulated statistics are bit-identical
     /// either way.
     pub speculation: bool,
-    /// Speculative workers per fork/join wave (`--spec-depth`).
-    pub spec_depth: usize,
     /// For `run_all` / `design_search` / `serve_soak`: write the
     /// machine-readable perf document (throughputs, speculation rates,
     /// serve latencies) here (`--bench PATH`).
@@ -183,10 +176,7 @@ impl Default for BinOptions {
             timing_layer: "ResNet50-2".to_string(),
             timing_only: false,
             no_timing: false,
-            stream: true,
-            segment_size: rasa_sim::DEFAULT_SEGMENT_SIZE,
             speculation: true,
-            spec_depth: rasa_sim::DEFAULT_SPEC_DEPTH,
             bench_path: None,
             layers: None,
             strategy: "grid".to_string(),
@@ -214,208 +204,132 @@ impl BinOptions {
     /// Parses the binaries' tiny CLI: `--cap N`, `--full` (no cap),
     /// `--max-batch N`, `--serial` (single-threaded execution),
     /// `--no-serial-check` (skip `run_all`'s serial cross-check),
-    /// `--json PATH` (write the JSON results document), the streaming
-    /// pipeline knobs `--no-stream` (materialized A/B path),
-    /// `--segment-size N`, `--speculation on|off`, `--spec-depth N` and
-    /// `--layers FILTER` (comma-separated
+    /// `--json PATH` (write the JSON results document),
+    /// `--speculation on|off`, `--layers FILTER` (comma-separated
     /// substrings or 1-based Table I indices), `--bench PATH` (write the
     /// machine-readable perf document), the `run_all` knobs
-    /// `--warm-start PATH`, `--timing-layer NAME` and `--timing-only`, and
-    /// the `serve_soak` knobs `--clients N`, `--requests N`, `--workers N`,
-    /// `--batch N`, `--cache-capacity N`, `--queue-capacity N`,
-    /// `--admission block|reject` and `--seed N`, and the `design_search`
-    /// knobs `--strategy grid|random|evolve`, `--population N`,
-    /// `--generations N`, `--samples N`, `--workload NAME` and
-    /// `--kernel-axes` (joint hardware × kernel search), the
-    /// distributed-serving knobs `--distributed`, `--shards N`,
-    /// `--kill-worker`, `--inflight N`, `--vnodes N`, `--router-cache N`
-    /// and `--warmup PCT`, and the
+    /// `--warm-start PATH`, `--timing-layer NAME`, `--timing-only` and
+    /// `--no-timing`, the `serve_soak` knobs `--clients N`, `--requests N`,
+    /// `--workers N`, `--batch N`, `--cache-capacity N`,
+    /// `--queue-capacity N`, `--admission block|reject` and `--seed N`,
+    /// the `design_search` knobs `--strategy grid|random|evolve`,
+    /// `--population N`, `--generations N`, `--samples N`,
+    /// `--workload NAME` and `--kernel-axes` (joint hardware × kernel
+    /// search), the distributed-serving knobs `--distributed`,
+    /// `--shards N`, `--kill-worker`, `--inflight N`, `--vnodes N`,
+    /// `--router-cache N` and `--warmup PCT`, and the
     /// `rasa-shardd` / `rasa-router` knobs `--listen ADDR`,
     /// `--shard ADDR` (repeatable) and `--shard-id N`. `--help` / `-h`
     /// sets [`BinOptions::help`] so a binary can print its flag table (see
-    /// [`usage`]). Unknown arguments are ignored so the binaries can be
-    /// run under criterion or other wrappers.
-    #[must_use]
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        fn numeric<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> Option<T> {
-            args.next().and_then(|v| v.parse().ok())
+    /// [`usage`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message for an unknown argument, a flag missing
+    /// its value, or a value that does not parse (a non-number, or a word
+    /// outside `on|off` / `block|reject`).
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        fn value(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<String, String> {
+            args.next().ok_or_else(|| format!("{flag} needs a value"))
+        }
+        fn number<T: std::str::FromStr>(
+            flag: &str,
+            args: &mut impl Iterator<Item = String>,
+        ) -> Result<T, String> {
+            let raw = value(flag, args)?;
+            raw.parse()
+                .map_err(|_| format!("{flag}: '{raw}' is not a valid number"))
+        }
+        fn choice<T: Copy>(
+            flag: &str,
+            args: &mut impl Iterator<Item = String>,
+            [(a, a_value), (b, b_value)]: [(&str, T); 2],
+        ) -> Result<T, String> {
+            match value(flag, args)? {
+                raw if raw == a => Ok(a_value),
+                raw if raw == b => Ok(b_value),
+                raw => Err(format!("{flag}: expected {a}|{b}, got '{raw}'")),
+            }
         }
         let mut options = BinOptions::default();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--cap" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.matmul_cap = Some(value);
-                    }
-                }
+            let flag = arg.as_str();
+            let args = &mut args;
+            match flag {
+                "--cap" => options.matmul_cap = Some(number(flag, args)?),
                 "--full" => options.matmul_cap = None,
-                "--max-batch" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.fig7_max_batch = value;
-                    }
-                }
+                "--max-batch" => options.fig7_max_batch = number(flag, args)?,
                 "--serial" => options.parallel = false,
                 "--no-serial-check" => options.skip_serial_check = true,
-                "--json" => options.json_path = args.next(),
-                "--clients" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.clients = value;
-                    }
+                "--json" => options.json_path = Some(value(flag, args)?),
+                "--clients" => options.clients = number(flag, args)?,
+                "--requests" => options.requests_per_client = number(flag, args)?,
+                "--workers" => options.workers_per_design = number(flag, args)?,
+                "--batch" => options.serve_max_batch = number(flag, args)?,
+                "--cache-capacity" => options.cache_capacity = number(flag, args)?,
+                "--seed" => options.seed = number(flag, args)?,
+                "--queue-capacity" => options.queue_capacity = number(flag, args)?,
+                "--admission" => {
+                    options.admission = choice(
+                        flag,
+                        args,
+                        [
+                            ("block", AdmissionControl::Block),
+                            ("reject", AdmissionControl::Reject),
+                        ],
+                    )?;
                 }
-                "--requests" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.requests_per_client = value;
-                    }
+                "--warm-start" => options.warm_start_path = Some(value(flag, args)?),
+                "--speculation" => {
+                    options.speculation = choice(flag, args, [("on", true), ("off", false)])?;
                 }
-                "--workers" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.workers_per_design = value;
-                    }
-                }
-                "--batch" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.serve_max_batch = value;
-                    }
-                }
-                "--cache-capacity" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.cache_capacity = value;
-                    }
-                }
-                "--seed" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.seed = value;
-                    }
-                }
-                "--queue-capacity" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.queue_capacity = value;
-                    }
-                }
-                "--admission" => match args.next().as_deref() {
-                    Some("reject") => options.admission = AdmissionControl::Reject,
-                    Some("block") => options.admission = AdmissionControl::Block,
-                    _ => {}
-                },
-                "--warm-start" => options.warm_start_path = args.next(),
-                "--no-stream" => options.stream = false,
-                "--segment-size" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.segment_size = value;
-                    }
-                }
-                "--speculation" => match args.next().as_deref() {
-                    Some("on") => options.speculation = true,
-                    Some("off") => options.speculation = false,
-                    _ => {}
-                },
-                "--spec-depth" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.spec_depth = value;
-                    }
-                }
-                "--bench" => options.bench_path = args.next(),
-                "--layers" => options.layers = args.next(),
-                "--timing-layer" => {
-                    if let Some(value) = args.next() {
-                        options.timing_layer = value;
-                    }
-                }
+                "--bench" => options.bench_path = Some(value(flag, args)?),
+                "--layers" => options.layers = Some(value(flag, args)?),
+                "--timing-layer" => options.timing_layer = value(flag, args)?,
                 "--timing-only" => options.timing_only = true,
                 "--no-timing" => options.no_timing = true,
-                "--strategy" => {
-                    if let Some(value) = args.next() {
-                        options.strategy = value;
-                    }
-                }
-                "--population" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.population = value;
-                    }
-                }
-                "--generations" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.generations = value;
-                    }
-                }
-                "--samples" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.samples = value;
-                    }
-                }
-                "--workload" => {
-                    if let Some(value) = args.next() {
-                        options.workload = value;
-                    }
-                }
+                "--strategy" => options.strategy = value(flag, args)?,
+                "--population" => options.population = number(flag, args)?,
+                "--generations" => options.generations = number(flag, args)?,
+                "--samples" => options.samples = number(flag, args)?,
+                "--workload" => options.workload = value(flag, args)?,
                 "--kernel-axes" => options.kernel_axes = true,
                 "--distributed" => options.distributed = true,
-                "--shards" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.shards = value;
-                    }
-                }
+                "--shards" => options.shards = number(flag, args)?,
                 "--kill-worker" => options.kill_worker = true,
-                "--listen" => {
-                    if let Some(value) = args.next() {
-                        options.listen = value;
-                    }
-                }
-                "--shard" => {
-                    if let Some(value) = args.next() {
-                        options.shard_addrs.push(value);
-                    }
-                }
-                "--inflight" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.inflight = value;
-                    }
-                }
-                "--vnodes" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.vnodes = value;
-                    }
-                }
-                "--router-cache" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.router_cache = value;
-                    }
-                }
-                "--warmup" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.warmup_percent = value;
-                    }
-                }
-                "--shard-id" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.shard_id = value;
-                    }
-                }
+                "--listen" => options.listen = value(flag, args)?,
+                "--shard" => options.shard_addrs.push(value(flag, args)?),
+                "--inflight" => options.inflight = number(flag, args)?,
+                "--vnodes" => options.vnodes = number(flag, args)?,
+                "--router-cache" => options.router_cache = number(flag, args)?,
+                "--warmup" => options.warmup_percent = number(flag, args)?,
+                "--shard-id" => options.shard_id = number(flag, args)?,
                 "--help" | "-h" => options.help = true,
-                _ => {}
+                other => return Err(format!("unknown argument '{other}'")),
             }
         }
-        options
+        Ok(options)
     }
 
-    /// Parses the current process arguments.
-    #[must_use]
-    pub fn from_env() -> Self {
-        BinOptions::parse(std::env::args().skip(1))
-    }
-
-    /// Parses the current process arguments and, when `--help` / `-h` was
+    /// Parses the current process arguments. When `--help` / `-h` was
     /// given, prints `binary`'s flag table (see [`usage`]) to stdout and
-    /// exits with status 0. Every experiment binary starts with this.
+    /// exits with status 0; when the arguments do not parse, prints the
+    /// error and the flag table to stderr and exits with status 2. Every
+    /// experiment binary starts with this.
     #[must_use]
     pub fn from_env_or_usage(binary: &str) -> Self {
-        let options = BinOptions::from_env();
-        if options.help {
-            print!("{}", usage(binary));
-            std::process::exit(0);
+        match BinOptions::parse(std::env::args().skip(1)) {
+            Ok(options) if options.help => {
+                print!("{}", usage(binary));
+                std::process::exit(0);
+            }
+            Ok(options) => options,
+            Err(message) => {
+                eprint!("{binary}: {message}\n\n{}", usage(binary));
+                std::process::exit(2);
+            }
         }
-        options
     }
 
     /// Builds the boxed [`SearchStrategy`] these options select for the
@@ -454,10 +368,7 @@ impl BinOptions {
             .with_matmul_cap(self.matmul_cap)
             .with_fig7_max_batch(self.fig7_max_batch)
             .with_parallel(self.parallel)
-            .with_streaming(self.stream)
-            .with_segment_size(self.segment_size)
             .with_speculation(self.speculation)
-            .with_spec_depth(self.spec_depth)
             .with_layer_filter(self.layers.clone())
             .build()
     }
@@ -466,8 +377,7 @@ impl BinOptions {
 /// One command-line flag of the experiment binaries: its spelling, value
 /// placeholder, one-line description and the binaries that honour it.
 /// [`usage`] renders the per-binary `--help` table from this registry, and
-/// the README's flag table is regenerated from the same output, so the
-/// three can never drift apart independently.
+/// a unit test checks the README's shared-flag table against it.
 #[derive(Debug, Clone, Copy)]
 pub struct FlagSpec {
     /// The flag itself, e.g. `--cap`.
@@ -481,7 +391,7 @@ pub struct FlagSpec {
 }
 
 /// The binaries that run an [`ExperimentSuite`] and therefore honour the
-/// shared simulation flags (`--cap`, `--serial`, the streaming knobs…).
+/// shared simulation flags (`--cap`, `--serial`, `--speculation`…).
 pub const SUITE_BINARIES: &[&str] = &[
     "fig1_toy",
     "fig2_utilization",
@@ -517,27 +427,9 @@ pub const FLAGS: &[FlagSpec] = &[
         binaries: SUITE_BINARIES,
     },
     FlagSpec {
-        flag: "--no-stream",
-        value: "",
-        description: "use the materialized trace path instead of streaming",
-        binaries: SUITE_BINARIES,
-    },
-    FlagSpec {
-        flag: "--segment-size",
-        value: "N",
-        description: "target streamed-segment size in instructions",
-        binaries: SUITE_BINARIES,
-    },
-    FlagSpec {
         flag: "--speculation",
         value: "on|off",
         description: "speculative fork/join segment scheduling (default on)",
-        binaries: SUITE_BINARIES,
-    },
-    FlagSpec {
-        flag: "--spec-depth",
-        value: "N",
-        description: "speculative workers per fork/join wave",
         binaries: SUITE_BINARIES,
     },
     FlagSpec {
@@ -755,7 +647,7 @@ pub const FLAGS: &[FlagSpec] = &[
 /// Renders `binary`'s `--help` text from the [`FLAGS`] registry.
 #[must_use]
 pub fn usage(binary: &str) -> String {
-    let mut out = format!("Usage: {binary} [FLAGS]\n\nFlags (unknown arguments are ignored):\n");
+    let mut out = format!("Usage: {binary} [FLAGS]\n\nFlags:\n");
     for spec in FLAGS {
         if !spec.binaries.contains(&binary) {
             continue;
@@ -861,6 +753,10 @@ pub fn compare_line(label: &str, measured: f64, paper: f64, unit: &str) -> Strin
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<BinOptions, String> {
+        BinOptions::parse(args.iter().map(ToString::to_string))
+    }
+
     #[test]
     fn default_options() {
         let o = BinOptions::default();
@@ -868,37 +764,43 @@ mod tests {
         assert_eq!(o.fig7_max_batch, 1024);
         assert!(o.parallel);
         assert!(!o.skip_serial_check);
+        assert_eq!(parse(&[]), Ok(o));
     }
 
     #[test]
     fn parse_cap_and_full() {
-        let o = BinOptions::parse(["--cap".to_string(), "512".to_string()]);
-        assert_eq!(o.matmul_cap, Some(512));
-        let o = BinOptions::parse(["--full".to_string()]);
-        assert_eq!(o.matmul_cap, None);
-        let o = BinOptions::parse([
-            "--max-batch".to_string(),
-            "64".to_string(),
-            "--junk".to_string(),
-        ]);
-        assert_eq!(o.fig7_max_batch, 64);
-        // Malformed values fall back to the default.
-        let o = BinOptions::parse(["--cap".to_string(), "notanumber".to_string()]);
-        assert_eq!(o.matmul_cap, Some(4096));
+        assert_eq!(parse(&["--cap", "512"]).unwrap().matmul_cap, Some(512));
+        assert_eq!(parse(&["--full"]).unwrap().matmul_cap, None);
+        assert_eq!(parse(&["--max-batch", "64"]).unwrap().fig7_max_batch, 64);
+        // A zero cap parses; the suite builder rejects it cleanly.
+        assert!(parse(&["--cap", "0"]).unwrap().suite().is_err());
+    }
+
+    #[test]
+    fn unknown_flags_and_bad_values_are_errors() {
+        let unknown = parse(&["--max-batch", "64", "--junk"]).unwrap_err();
+        assert!(unknown.contains("--junk"), "{unknown}");
+        let bad = parse(&["--cap", "notanumber"]).unwrap_err();
+        assert!(bad.contains("--cap") && bad.contains("notanumber"), "{bad}");
+        assert!(parse(&["--cap", "-1"]).is_err());
+        assert!(parse(&["positional"]).is_err());
+        // A flag at the end of the line without its value.
+        assert!(parse(&["--cap"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--json"]).is_err());
     }
 
     #[test]
     fn parse_execution_flags() {
-        let o = BinOptions::parse(["--serial".to_string()]);
+        let o = parse(&["--serial"]).unwrap();
         assert!(!o.parallel);
-        let o = BinOptions::parse(["--no-serial-check".to_string()]);
+        let o = parse(&["--no-serial-check"]).unwrap();
         assert!(o.skip_serial_check);
         assert!(o.parallel);
     }
 
     #[test]
     fn parse_serving_flags() {
-        let args = [
+        let o = parse(&[
             "--json",
             "out.json",
             "--clients",
@@ -913,8 +815,8 @@ mod tests {
             "9",
             "--seed",
             "123",
-        ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
+        ])
+        .unwrap();
         assert_eq!(o.json_path.as_deref(), Some("out.json"));
         assert_eq!(o.clients, 3);
         assert_eq!(o.requests_per_client, 7);
@@ -923,7 +825,7 @@ mod tests {
         assert_eq!(o.cache_capacity, 9);
         assert_eq!(o.seed, 123);
         // Defaults when absent.
-        let o = BinOptions::parse(std::iter::empty());
+        let o = parse(&[]).unwrap();
         assert_eq!(o.json_path, None);
         assert_eq!(o.clients, 8);
         assert_eq!(o.requests_per_client, 32);
@@ -940,7 +842,7 @@ mod tests {
 
     #[test]
     fn parse_backpressure_and_timing_flags() {
-        let args = [
+        let o = parse(&[
             "--queue-capacity",
             "5",
             "--admission",
@@ -950,72 +852,56 @@ mod tests {
             "--timing-layer",
             "DLRM-2",
             "--timing-only",
-        ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
+        ])
+        .unwrap();
         assert_eq!(o.queue_capacity, 5);
         assert_eq!(o.admission, AdmissionControl::Reject);
         assert_eq!(o.warm_start_path.as_deref(), Some("prev.json"));
         assert_eq!(o.timing_layer, "DLRM-2");
         assert!(o.timing_only);
         assert!(!o.no_timing);
-        assert!(BinOptions::parse(["--no-timing".to_string()]).no_timing);
-        // Unknown admission values keep the default.
-        let o = BinOptions::parse(["--admission".to_string(), "banana".to_string()]);
-        assert_eq!(o.admission, AdmissionControl::Block);
+        assert!(parse(&["--no-timing"]).unwrap().no_timing);
+        // Unknown admission values are errors.
+        let error = parse(&["--admission", "banana"]).unwrap_err();
+        assert!(error.contains("block|reject"), "{error}");
     }
 
     #[test]
     fn parse_streaming_flags() {
-        let o = BinOptions::parse(std::iter::empty());
-        assert!(o.stream, "streaming is the default");
-        assert_eq!(o.segment_size, rasa_sim::DEFAULT_SEGMENT_SIZE);
+        let o = parse(&[]).unwrap();
         assert_eq!(o.layers, None);
-        let args = [
-            "--no-stream",
-            "--segment-size",
-            "4096",
-            "--layers",
-            "DLRM,9",
-        ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
-        assert!(!o.stream);
-        assert_eq!(o.segment_size, 4096);
+        let o = parse(&["--layers", "DLRM,9"]).unwrap();
         assert_eq!(o.layers.as_deref(), Some("DLRM,9"));
-        let s = o.suite().unwrap();
-        assert!(!s.runner().is_streaming());
-        assert_eq!(s.runner().segment_size(), 4096);
-        assert_eq!(s.layers().len(), 4);
+        assert_eq!(o.suite().unwrap().layers().len(), 4);
+        // Flags of deleted options are unknown, not silently ignored.
+        for removed in [
+            &["--no-stream"][..],
+            &["--segment-size", "4096"],
+            &["--spec-depth", "3"],
+        ] {
+            let error = parse(removed).unwrap_err();
+            assert!(error.contains(removed[0]), "{error}");
+        }
     }
 
     #[test]
     fn parse_speculation_flags() {
-        let o = BinOptions::parse(std::iter::empty());
+        let o = parse(&[]).unwrap();
         assert!(o.speculation, "speculation is the default");
-        assert_eq!(o.spec_depth, rasa_sim::DEFAULT_SPEC_DEPTH);
         assert_eq!(o.bench_path, None);
-        let args = [
-            "--speculation",
-            "off",
-            "--spec-depth",
-            "3",
-            "--bench",
-            "b.json",
-        ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
+        let o = parse(&["--speculation", "off", "--bench", "b.json"]).unwrap();
         assert!(!o.speculation);
-        assert_eq!(o.spec_depth, 3);
         assert_eq!(o.bench_path.as_deref(), Some("b.json"));
-        let s = o.suite().unwrap();
-        assert!(!s.runner().is_speculative());
-        assert_eq!(s.runner().spec_depth(), 3);
-        // Unknown values keep the default.
-        let o = BinOptions::parse(["--speculation".to_string(), "banana".to_string()]);
-        assert!(o.speculation);
+        assert!(!o.suite().unwrap().runner().is_speculative());
+        assert!(parse(&["--speculation", "on"]).unwrap().speculation);
+        // Unknown values are errors.
+        let error = parse(&["--speculation", "banana"]).unwrap_err();
+        assert!(error.contains("on|off"), "{error}");
     }
 
     #[test]
     fn parse_search_flags_and_build_strategies() {
-        let o = BinOptions::parse(std::iter::empty());
+        let o = parse(&[]).unwrap();
         assert_eq!(o.strategy, "grid");
         assert_eq!(o.population, 16);
         assert_eq!(o.generations, 8);
@@ -1024,7 +910,7 @@ mod tests {
         assert!(!o.kernel_axes, "hardware-only search is the default");
         assert_eq!(o.search_strategy().unwrap().name(), "grid");
 
-        let args = [
+        let o = parse(&[
             "--strategy",
             "evolve",
             "--population",
@@ -1038,8 +924,8 @@ mod tests {
             "--seed",
             "7",
             "--kernel-axes",
-        ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
+        ])
+        .unwrap();
         assert_eq!(o.strategy, "evolve");
         assert_eq!(o.population, 12);
         assert_eq!(o.generations, 4);
@@ -1048,9 +934,9 @@ mod tests {
         assert!(o.kernel_axes);
         assert_eq!(o.search_strategy().unwrap().name(), "evolve");
 
-        let o = BinOptions::parse(["--strategy".to_string(), "random".to_string()]);
+        let o = parse(&["--strategy", "random"]).unwrap();
         assert_eq!(o.search_strategy().unwrap().name(), "random");
-        let o = BinOptions::parse(["--strategy".to_string(), "banana".to_string()]);
+        let o = parse(&["--strategy", "banana"]).unwrap();
         assert!(matches!(
             o.search_strategy(),
             Err(rasa_sim::SimError::InvalidExperiment { .. })
@@ -1059,7 +945,7 @@ mod tests {
 
     #[test]
     fn parse_distributed_flags() {
-        let o = BinOptions::parse(std::iter::empty());
+        let o = parse(&[]).unwrap();
         assert!(!o.distributed);
         assert_eq!(o.shards, 4);
         assert!(!o.kill_worker);
@@ -1070,7 +956,7 @@ mod tests {
         assert_eq!(o.shard_id, 0);
         assert!(!o.help);
 
-        let args = [
+        let o = parse(&[
             "--distributed",
             "--shards",
             "6",
@@ -1087,8 +973,8 @@ mod tests {
             "16",
             "--shard-id",
             "3",
-        ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
+        ])
+        .unwrap();
         assert!(o.distributed);
         assert_eq!(o.shards, 6);
         assert!(o.kill_worker);
@@ -1097,8 +983,8 @@ mod tests {
         assert_eq!(o.inflight, 8);
         assert_eq!(o.vnodes, 16);
         assert_eq!(o.shard_id, 3);
-        assert!(BinOptions::parse(["--help".to_string()]).help);
-        assert!(BinOptions::parse(["-h".to_string()]).help);
+        assert!(parse(&["--help"]).unwrap().help);
+        assert!(parse(&["-h"]).unwrap().help);
     }
 
     #[test]
@@ -1128,6 +1014,34 @@ mod tests {
         for text in [&soak, &shardd, &router, &fig5] {
             assert!(text.contains("--help, -h"));
         }
+    }
+
+    #[test]
+    fn readme_shared_flag_table_matches_the_registry() {
+        // The README's shared-flag table lists exactly the registry
+        // entries every suite binary honours, placeholders included.
+        let readme = include_str!("../../../README.md");
+        let table = readme
+            .split("Flags shared by the experiment suite")
+            .nth(1)
+            .expect("README has the shared-flag table");
+        let documented: std::collections::BTreeSet<String> = table
+            .lines()
+            .skip_while(|line| !line.starts_with('|'))
+            .take_while(|line| line.starts_with('|'))
+            .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+            .map(|cell| cell.replace("\\|", "|"))
+            .collect();
+        let registry: std::collections::BTreeSet<String> = FLAGS
+            .iter()
+            .filter(|spec| spec.binaries == SUITE_BINARIES)
+            .map(|spec| {
+                format!("{} {}", spec.flag, spec.value)
+                    .trim_end()
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(documented, registry);
     }
 
     #[test]

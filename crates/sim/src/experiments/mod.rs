@@ -108,10 +108,7 @@ impl ExperimentSuite {
             .with_matmul_cap(cap)
             .with_fig7_max_batch(self.fig7_max_batch)
             .with_parallel(self.runner.is_parallel())
-            .with_streaming(self.runner.is_streaming())
-            .with_segment_size(self.runner.segment_size())
             .with_speculation(self.runner.is_speculative())
-            .with_spec_depth(self.runner.spec_depth())
             .with_layer_filter(self.layer_filter.clone())
             .build()
             .expect("matmul cap must be at least 1 (or None for uncapped)")
@@ -257,10 +254,7 @@ pub struct ExperimentSuiteBuilder {
     matmul_cap: Option<Option<usize>>,
     fig7_max_batch: Option<usize>,
     parallel: Option<bool>,
-    streaming: Option<bool>,
-    segment_size: Option<usize>,
     speculation: Option<bool>,
-    spec_depth: Option<usize>,
     layer_filter: Option<String>,
 }
 
@@ -293,33 +287,11 @@ impl ExperimentSuiteBuilder {
         self.with_parallel(false)
     }
 
-    /// Selects the streaming trace→simulate pipeline (default) or the
-    /// materialized path for every cell.
-    #[must_use]
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = Some(streaming);
-        self
-    }
-
-    /// Overrides the target streamed-segment size in instructions.
-    #[must_use]
-    pub fn with_segment_size(mut self, segment_size: usize) -> Self {
-        self.segment_size = Some(segment_size);
-        self
-    }
-
     /// Enables (default) or disables the speculative fork/join segment
     /// scheduler for streamed cells.
     #[must_use]
     pub fn with_speculation(mut self, speculation: bool) -> Self {
         self.speculation = Some(speculation);
-        self
-    }
-
-    /// Overrides the number of speculative workers per fork/join wave.
-    #[must_use]
-    pub fn with_spec_depth(mut self, spec_depth: usize) -> Self {
-        self.spec_depth = Some(spec_depth);
         self
     }
 
@@ -337,24 +309,15 @@ impl ExperimentSuiteBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidExperiment`] for a zero matmul cap, a
-    /// zero segment size or a layer filter matching no Table I layer.
+    /// Returns [`SimError::InvalidExperiment`] for a zero matmul cap or a
+    /// layer filter matching no Table I layer.
     pub fn build(self) -> Result<ExperimentSuite, SimError> {
         let parallel = self.parallel.unwrap_or(true);
         let mut runner_builder = ExperimentRunner::builder()
             .with_parallel(parallel)
-            .with_streaming(self.streaming.unwrap_or(true));
+            .with_speculation(self.speculation.unwrap_or(true));
         if let Some(cap) = self.matmul_cap {
             runner_builder = runner_builder.with_matmul_cap(cap);
-        }
-        if let Some(segment_size) = self.segment_size {
-            runner_builder = runner_builder.with_segment_size(segment_size);
-        }
-        if let Some(speculation) = self.speculation {
-            runner_builder = runner_builder.with_speculation(speculation);
-        }
-        if let Some(spec_depth) = self.spec_depth {
-            runner_builder = runner_builder.with_spec_depth(spec_depth);
         }
         let runner = runner_builder.build()?;
         let all_layers = WorkloadSuite::mlperf().layers().to_vec();
@@ -452,23 +415,21 @@ mod tests {
 
     #[test]
     fn streaming_options_flow_to_the_runner() {
+        // Speculation is the one option of the streamed pipeline.
         let s = ExperimentSuite::builder()
             .with_matmul_cap(Some(96))
-            .with_streaming(false)
-            .with_segment_size(512)
+            .with_speculation(false)
             .with_layer_filter(Some("BERT-1".to_string()))
             .build()
             .unwrap();
-        assert!(!s.runner().is_streaming());
-        assert_eq!(s.runner().segment_size(), 512);
-        // Reconfiguration rebuilds the runner but keeps the streaming
-        // options and the resolved layer filter.
+        assert!(!s.runner().is_speculative());
+        // Reconfiguration rebuilds the runner but keeps the speculation
+        // option and the resolved layer filter.
         let s = s.with_matmul_cap(Some(64));
-        assert!(!s.runner().is_streaming());
-        assert_eq!(s.runner().segment_size(), 512);
+        assert!(!s.runner().is_speculative());
         assert_eq!(s.layers().len(), 1);
-        // The default is the streaming pipeline.
-        assert!(ExperimentSuite::new().runner().is_streaming());
+        // Speculation is on by default.
+        assert!(ExperimentSuite::new().runner().is_speculative());
     }
 
     #[test]

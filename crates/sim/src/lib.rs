@@ -69,8 +69,4 @@ pub use serve::{
     AdmissionControl, GemmRequest, GemmResponse, GemmServer, LatencySummary, RequestLatency,
     ResponseHandle, ServeConfig, ServeStats, DEFAULT_QUEUE_CAPACITY,
 };
-pub use simulator::{Simulator, DEFAULT_SPEC_DEPTH};
-
-/// Default target size (in instructions) of a streamed trace segment
-/// (re-exported from `rasa-trace` for configuration plumbing).
-pub use rasa_trace::DEFAULT_SEGMENT_SIZE;
+pub use simulator::Simulator;

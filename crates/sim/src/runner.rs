@@ -29,7 +29,7 @@ use crate::cache::{InsertOutcome, LruCache};
 use crate::json::{FromJson, JsonValue, ToJson};
 use crate::key::CellKey;
 use crate::prof::{self, Stage};
-use crate::simulator::{DEFAULT_MATMUL_CAP, DEFAULT_SPEC_DEPTH};
+use crate::simulator::DEFAULT_MATMUL_CAP;
 use crate::{DesignPoint, SimError, SimReport, Simulator, WorkloadRun};
 use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
@@ -217,10 +217,7 @@ impl CacheStats {
 pub struct ExperimentRunner {
     matmul_cap: Option<usize>,
     parallel: bool,
-    streaming: bool,
-    segment_size: usize,
     speculation: bool,
-    spec_depth: usize,
     cache: Mutex<LruCache<CellKey, Arc<SimReport>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -254,34 +251,13 @@ impl ExperimentRunner {
         self.parallel
     }
 
-    /// Whether cells run through the streaming trace→simulate pipeline
-    /// (default) or the materialized path. Simulated statistics are
-    /// bit-identical either way; only the [`crate::PipelineStats`]
-    /// diagnostics differ.
-    #[must_use]
-    pub const fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
-    /// The target streamed-segment size in instructions.
-    #[must_use]
-    pub const fn segment_size(&self) -> usize {
-        self.segment_size
-    }
-
     /// Whether streamed cells may use the speculative fork/join segment
-    /// scheduler (default). Like the transport settings, speculation never
-    /// changes a simulated statistic — mispredicted segments replay
-    /// sequentially — so this only trades wall-clock time for cores.
+    /// scheduler (default). Speculation never changes a simulated
+    /// statistic — mispredicted segments replay sequentially — so this
+    /// only trades wall-clock time for cores.
     #[must_use]
     pub const fn is_speculative(&self) -> bool {
         self.speculation
-    }
-
-    /// Speculative workers per fork/join wave.
-    #[must_use]
-    pub const fn spec_depth(&self) -> usize {
-        self.spec_depth
     }
 
     /// Cache effectiveness counters since construction (or the last
@@ -362,12 +338,12 @@ impl ExperimentRunner {
     /// cap), so cells dumped under a different fidelity simply never match
     /// this runner's lookups: warm-starting is always safe, never wrong.
     ///
-    /// The trace-transport settings (streaming on/off, segment size,
-    /// speculation on/off and depth) are deliberately *not* part of the
-    /// key — the simulated statistics are bit-identical across transports. A warmed cell therefore keeps the
-    /// [`crate::PipelineStats`] diagnostics of the execution that
-    /// originally produced it, which may describe a different transport
-    /// than this runner's; every architectural metric is exact.
+    /// Speculation on/off is deliberately *not* part of the key — the
+    /// simulated statistics are bit-identical either way. A warmed cell
+    /// therefore keeps the [`crate::PipelineStats`] diagnostics of the
+    /// execution that originally produced it, whose speculation counters
+    /// may differ from what this runner would record; every architectural
+    /// metric is exact.
     ///
     /// # Errors
     ///
@@ -469,10 +445,7 @@ impl ExperimentRunner {
         let report = Arc::new(
             Simulator::new(job.design.clone())?
                 .with_kernel(kernel)?
-                .with_streaming(self.streaming)
-                .with_segment_size(self.segment_size)?
                 .with_speculation(self.speculation)
-                .with_spec_depth(self.spec_depth)?
                 .run_layer(&job.workload)?,
         );
         drop(simulate);
@@ -571,10 +544,7 @@ impl Default for ExperimentRunner {
 pub struct ExperimentRunnerBuilder {
     matmul_cap: Option<Option<usize>>,
     parallel: Option<bool>,
-    streaming: Option<bool>,
-    segment_size: Option<usize>,
     speculation: Option<bool>,
-    spec_depth: Option<usize>,
     cache_capacity: Option<usize>,
 }
 
@@ -601,33 +571,11 @@ impl ExperimentRunnerBuilder {
         self.with_parallel(false)
     }
 
-    /// Selects the streaming trace→simulate pipeline (default) or the
-    /// materialized path for every cell.
-    #[must_use]
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = Some(streaming);
-        self
-    }
-
-    /// Overrides the target streamed-segment size in instructions.
-    #[must_use]
-    pub fn with_segment_size(mut self, segment_size: usize) -> Self {
-        self.segment_size = Some(segment_size);
-        self
-    }
-
     /// Enables (default) or disables the speculative fork/join segment
     /// scheduler for streamed cells.
     #[must_use]
     pub fn with_speculation(mut self, speculation: bool) -> Self {
         self.speculation = Some(speculation);
-        self
-    }
-
-    /// Overrides the number of speculative workers per fork/join wave.
-    #[must_use]
-    pub fn with_spec_depth(mut self, spec_depth: usize) -> Self {
-        self.spec_depth = Some(spec_depth);
         self
     }
 
@@ -658,27 +606,10 @@ impl ExperimentRunnerBuilder {
                 reason: "cache capacity must be at least 1".to_string(),
             });
         }
-        let segment_size = self
-            .segment_size
-            .unwrap_or(rasa_trace::DEFAULT_SEGMENT_SIZE);
-        if segment_size == 0 {
-            return Err(SimError::InvalidExperiment {
-                reason: "segment size must be at least one instruction".to_string(),
-            });
-        }
-        let spec_depth = self.spec_depth.unwrap_or(DEFAULT_SPEC_DEPTH);
-        if spec_depth == 0 {
-            return Err(SimError::InvalidExperiment {
-                reason: "speculation depth must be at least one worker".to_string(),
-            });
-        }
         Ok(ExperimentRunner {
             matmul_cap,
             parallel: self.parallel.unwrap_or(true),
-            streaming: self.streaming.unwrap_or(true),
-            segment_size,
             speculation: self.speculation.unwrap_or(true),
-            spec_depth,
             cache: Mutex::new(LruCache::new(cache_capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -722,20 +653,12 @@ mod tests {
 
     #[test]
     fn builder_plumbs_speculation_settings() {
-        let runner = ExperimentRunner::new();
-        assert!(runner.is_speculative());
-        assert_eq!(runner.spec_depth(), DEFAULT_SPEC_DEPTH);
-        let tuned = ExperimentRunner::builder()
+        assert!(ExperimentRunner::new().is_speculative());
+        let sequential = ExperimentRunner::builder()
             .with_speculation(false)
-            .with_spec_depth(3)
             .build()
             .unwrap();
-        assert!(!tuned.is_speculative());
-        assert_eq!(tuned.spec_depth(), 3);
-        assert!(matches!(
-            ExperimentRunner::builder().with_spec_depth(0).build(),
-            Err(SimError::InvalidExperiment { .. })
-        ));
+        assert!(!sequential.is_speculative());
     }
 
     #[test]

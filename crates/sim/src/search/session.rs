@@ -46,7 +46,7 @@ pub struct DesignSearch<'a> {
 
 impl<'a> DesignSearch<'a> {
     /// Binds a space and a workload to a runner. The runner's kernel
-    /// settings (matmul cap, streaming transport) apply to every
+    /// settings (matmul cap, speculation) apply to every
     /// evaluation, and its cell cache is shared with anything else the
     /// runner serves.
     #[must_use]
